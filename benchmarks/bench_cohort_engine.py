@@ -49,7 +49,7 @@ from repro.compile.differential import CompileDifferentialHarness
 from repro.compile.live import clear_registry
 
 #: Benchmark shapes: name -> (n_pes, per-PE elements, thread sweep).
-#: Same geometry as the hotpath and hybrid sections of BENCH_engine.json.
+#: Same geometry as the hotpath section of BENCH_engine.json.
 SHAPES = {
     "paper": (16, 64, (1, 2, 4, 8)),
     "tiny": (8, 64, (1, 2, 4)),

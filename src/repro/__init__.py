@@ -15,11 +15,11 @@ Quickstart — run a paper workload through the app registry::
     report = repro.run("fft", n=1024, n_pes=16, h=4)
     print(report.runtime_cycles, report.breakdown)
 
-Execution strategy (process sharding, hybrid fidelity, the cohort
-compiler) is one object::
+Every run goes through the one reference engine; the execution plan
+only chooses whether thread creation goes through the cohort compiler::
 
-    report = repro.run("fft", n=1024, n_pes=16, h=4,
-                       plan=repro.ExecutionPlan(shards=4))
+    report = repro.run("emc-sort", n=1024, n_pes=16, h=4,
+                       plan=repro.ExecutionPlan(compiled=True))
 
 Or drive the machine directly::
 

@@ -12,7 +12,6 @@ Usage::
     python -m repro cache stats       # inspect the on-disk result store
     python -m repro apps              # list registered workloads + flags
     python -m repro sort --pes 8 --size 128 --threads 4
-    python -m repro sort --pes 8 --plan shards=4     # windowed parallel run
     python -m repro fft  --pes 8 --size 128 --threads 4 --plan compiled
     python -m repro sort --timeline    # ASCII per-PE activity timeline
     python -m repro trace fft --out run.perfetto.json  # Perfetto trace
@@ -55,9 +54,9 @@ from .metrics.report import format_table
 def _add_plan_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--plan", default=None, metavar="SPEC",
-        help='execution plan, e.g. "shards=4,fidelity=hybrid,compiled" '
-             "(the one replacement for the deprecated --shards/--fidelity/"
-             "--compiled flags; see repro.ExecutionPlan)")
+        help='execution plan: "compiled" routes thread creation through '
+             "the cohort compiler (byte-identical metrics; see "
+             "repro.ExecutionPlan)")
 
 
 def _add_runner_flags(parser: argparse.ArgumentParser, default_jobs: int | None = 1) -> None:
@@ -77,60 +76,13 @@ def _add_runner_flags(parser: argparse.ArgumentParser, default_jobs: int | None 
         help="write a Perfetto trace per executed job under DIR "
              "(cache hits produce no trace; off by default)")
     _add_plan_flag(parser)
-    parser.add_argument(
-        "--fidelity", choices=["detailed", "hybrid"], default="detailed",
-        help="[deprecated: use --plan fidelity=hybrid] hybrid fast-forwards "
-             "conflict-free windows with analytic costs (metric-identical, "
-             "detailed fallback on a miss; default: %(default)s)")
-    parser.add_argument(
-        "--compiled", action="store_true",
-        help="[deprecated: use --plan compiled] route thread creation "
-             "through the cohort compiler: threads sharing a recorded "
-             "effect-trace shape replay it batched (byte-identical metrics "
-             "and events, per-thread interpreter bailout; off by default)")
 
 
 def _cli_plan(args: argparse.Namespace):
-    """Resolve ``--plan`` / legacy ``--shards --fidelity --compiled`` flags.
-
-    ``--plan`` wins and refuses to be combined with non-default legacy
-    flags; legacy flags still work but emit one DeprecationWarning
-    (visible: ``__main__`` is exempt from the default warning filter's
-    DeprecationWarning suppression).
-    """
-    import warnings
-
+    """The :class:`~repro.api.ExecutionPlan` named by ``--plan``."""
     from .api import ExecutionPlan
-    from .errors import PlanError
 
-    legacy = {}
-    if getattr(args, "shards", 0):
-        legacy["shards"] = args.shards
-    if getattr(args, "fidelity", "detailed") != "detailed":
-        legacy["fidelity"] = args.fidelity
-    if getattr(args, "compiled", False):
-        legacy["compiled"] = True
-    text = getattr(args, "plan", None)
-    if text:
-        if legacy:
-            raise PlanError(
-                f"--plan cannot be combined with --{'/--'.join(sorted(legacy))}"
-            )
-        return ExecutionPlan.parse(text)
-    if legacy:
-        plan = ExecutionPlan(
-            shards=legacy.get("shards", 0),
-            fidelity=legacy.get("fidelity", "detailed"),
-            compiled=legacy.get("compiled", False),
-        )
-        warnings.warn(
-            f"--{'/--'.join(sorted(legacy))} is deprecated; "
-            f'pass --plan "{plan.describe()}" instead',
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return plan
-    return ExecutionPlan()
+    return ExecutionPlan.parse(args.plan or "")
 
 
 def _progress_printer():
@@ -397,7 +349,7 @@ def _cmd_apps(args: argparse.Namespace) -> None:
             "name": canonical,
             "aliases": aliases,
             "signature": params,
-            "flags": ["--plan", "--shards", "--fidelity", "--compiled"],
+            "flags": ["--plan"],
         })
     if args.json:
         import json
@@ -408,9 +360,7 @@ def _cmd_apps(args: argparse.Namespace) -> None:
         alias = f"  (aliases: {', '.join(entry['aliases'])})" if entry["aliases"] else ""
         print(f"{entry['name']}{alias}")
         print(f"  signature: {', '.join(entry['signature'])}")
-    print("\nevery app runs through repro.run(...) and supports "
-          '--plan "shards=K,fidelity=hybrid,compiled" (the deprecated '
-          "--shards/--fidelity/--compiled spellings still work)")
+    print("\nevery app runs through repro.run(...) and supports --plan compiled")
 
 
 def _cmd_app(args: argparse.Namespace) -> None:
@@ -449,10 +399,6 @@ def _cmd_app(args: argparse.Namespace) -> None:
         print("switches/PE: " + ", ".join(
             f"{k.value} {report.switches(k):.0f}" for k in SwitchKind))
         print(f"network: {report.network.summary()}")
-        if report.windows is not None:
-            from .metrics.report import format_windows
-
-            print(format_windows(report.windows))
         if report.cohort is not None:
             from .metrics.report import format_cohort
 
@@ -482,14 +428,8 @@ def _cmd_trace(args: argparse.Namespace) -> None:
         write_perfetto,
     )
 
-    from .obs import Category
-
     bus = EventBus()
     recorder = RingRecorder(bus, capacity=args.buffer)
-    # SHARD is opt-in (excluded from the default subscription so model
-    # streams stay K-invariant); the trace exporter wants the window-
-    # protocol track, so subscribe the same recorder explicitly.
-    bus.subscribe(recorder.record, [Category.SHARD])
     kwargs = dict(
         n_pes=args.pes, n=args.pes * args.size, h=args.threads, seed=args.seed, obs=bus
     )
@@ -547,12 +487,6 @@ def main(argv: list[str] | None = None) -> None:
     p.add_argument("--threads", default=None, metavar="H,H,...",
                    help="comma-separated thread counts "
                         "(default: the paper's 1..16 sweep)")
-    p.add_argument("--shards", type=int, default=0, metavar="K",
-                   help="[deprecated: use --plan shards=K] shard each "
-                        "simulation across K worker processes "
-                        "(conservative-window parallel run; 0 = legacy "
-                        "sequential models; jobs x shards is budgeted "
-                        "against the core count)")
     _add_runner_flags(p, default_jobs=None)
     p.set_defaults(func=_cmd_sweep)
 
@@ -647,20 +581,6 @@ def main(argv: list[str] | None = None) -> None:
         p.add_argument("--trace", default=None, metavar="FILE",
                        help="record the run and write a Perfetto trace to FILE")
         _add_plan_flag(p)
-        p.add_argument("--shards", type=int, default=0, metavar="K",
-                       help="[deprecated: use --plan shards=K] run the "
-                            "simulation across K worker processes "
-                            "(0 = legacy sequential models)")
-        p.add_argument("--fidelity", choices=["detailed", "hybrid"],
-                       default="detailed",
-                       help="[deprecated: use --plan fidelity=hybrid] hybrid "
-                            "fast-forwards conflict-free windows with "
-                            "analytic costs (metric-identical; "
-                            "default: %(default)s)")
-        p.add_argument("--compiled", action="store_true",
-                       help="[deprecated: use --plan compiled] route thread "
-                            "creation through the cohort compiler "
-                            "(byte-identical; off by default)")
         p.set_defaults(func=_cmd_app, app=app)
 
     p = sub.add_parser(
@@ -678,21 +598,6 @@ def main(argv: list[str] | None = None) -> None:
     p.add_argument("--buffer", type=int, default=1_000_000, metavar="N",
                    help="ring-buffer capacity in events (default: %(default)s)")
     _add_plan_flag(p)
-    p.add_argument("--shards", type=int, default=0, metavar="K",
-                   help="[deprecated: use --plan shards=K] run the simulation "
-                        "across K worker processes; sharded traces gain a "
-                        "window-protocol track (0 = legacy sequential models)")
-    p.add_argument("--fidelity", choices=["detailed", "hybrid"],
-                   default="detailed",
-                   help="[deprecated: use --plan fidelity=hybrid] hybrid "
-                        "fast-forwards conflict-free windows with analytic "
-                        "costs; traces then contain FASTFORWARD "
-                        "spans marking skipped regions (default: %(default)s)")
-    p.add_argument("--compiled", action="store_true",
-                   help="[deprecated: use --plan compiled] route thread "
-                        "creation through the cohort compiler; traces then "
-                        "contain COHORT diagnostic events "
-                        "(byte-identical otherwise; off by default)")
     p.set_defaults(func=_cmd_trace)
 
     args = parser.parse_args(argv)

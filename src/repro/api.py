@@ -14,19 +14,13 @@ signature, checks verification, and returns the
 The CLI (``python -m repro``) and the experiment runner dispatch through
 the same registry, so adding a workload is one ``@register_app("name")``
 decorator — not parallel edits to three hand-maintained dicts.
-
-**Legacy calls.**  The ``run_*`` functions were historically called with
-``(n_pes, n, h)`` positional; :func:`register_app` wraps each app with a
-shim that still accepts that pattern but emits a
-:class:`DeprecationWarning`.  New code passes keywords only.
 """
 
 from __future__ import annotations
 
-import functools
 import warnings
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, ClassVar
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Any, Callable
 
 from .errors import PlanCompatibilityWarning, PlanError, ProgramError
 
@@ -50,9 +44,6 @@ __all__ = [
 #: :func:`get_app`/:func:`app_names` to read it with loading handled.
 APPS: dict[str, Callable[..., Any]] = {}
 
-#: Historical positional order of the ``run_*`` entry points.
-_LEGACY_POSITIONAL = ("n_pes", "n", "h")
-
 
 def register_app(name: str, *aliases: str) -> Callable:
     """Register a workload entry point under ``name`` (plus aliases).
@@ -60,41 +51,17 @@ def register_app(name: str, *aliases: str) -> Callable:
     The decorated function must take keyword-only arguments including at
     least ``n_pes``, ``n``, ``h``, ``config`` and ``obs``, and return a
     result object exposing ``.report`` (a MachineReport) and a
-    verification flag (``sorted_ok`` or ``verified``).  The returned
-    wrapper additionally accepts up to three *legacy* positional
-    arguments, mapped to ``(n_pes, n, h)`` with a DeprecationWarning.
+    verification flag (``sorted_ok`` or ``verified``).  The function is
+    registered as is, so a positional call raises ``TypeError``.
     """
 
     def decorate(fn: Callable[..., Any]) -> Callable[..., Any]:
-        @functools.wraps(fn)
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            if args:
-                if len(args) > len(_LEGACY_POSITIONAL):
-                    raise TypeError(
-                        f"{fn.__name__}() takes at most {len(_LEGACY_POSITIONAL)} "
-                        f"positional arguments ({len(args)} given)"
-                    )
-                warnings.warn(
-                    f"calling {fn.__name__} with positional arguments is "
-                    f"deprecated; pass {', '.join(_LEGACY_POSITIONAL[: len(args)])} "
-                    f"as keywords",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-                for pname, value in zip(_LEGACY_POSITIONAL, args):
-                    if pname in kwargs:
-                        raise TypeError(
-                            f"{fn.__name__}() got multiple values for argument {pname!r}"
-                        )
-                    kwargs[pname] = value
-            return fn(**kwargs)
-
-        wrapper.app_names = (name, *aliases)  # type: ignore[attr-defined]
+        fn.app_names = (name, *aliases)  # type: ignore[attr-defined]
         for key in (name, *aliases):
             if key in APPS:
                 raise ProgramError(f"app name {key!r} registered twice")
-            APPS[key] = wrapper
-        return wrapper
+            APPS[key] = fn
+        return fn
 
     return decorate
 
@@ -135,84 +102,33 @@ def result_ok(result: Any) -> bool:
 
 @dataclass(frozen=True)
 class ExecutionPlan:
-    """How to execute a workload — the one bundle of engine-mode knobs.
+    """How to execute a workload::
 
-    Execution strategy used to sprawl: ``shards=``, ``fidelity=`` and
-    ``compiled=`` were threaded separately through :func:`run`,
-    :class:`~repro.config.MachineConfig`,
-    :class:`~repro.runner.jobs.JobSpec`,
-    :class:`~repro.runner.sweep.RunnerOptions` and every CLI
-    subcommand.  An ``ExecutionPlan`` carries all of them once::
+        report = repro.run("emc-sort", n=1024, n_pes=16, h=4,
+                           plan=repro.ExecutionPlan(compiled=True))
 
-        report = repro.run("sort", n=1024, n_pes=16, h=4,
-                           plan=repro.ExecutionPlan(shards=4))
-
-    * ``shards`` — run the simulation across K forked worker processes
-      under the conservative-window scheme (:mod:`repro.sim.parallel`);
-      metrics are identical for every K, ``0`` keeps the sequential
-      engine.
-    * ``fidelity`` — ``"hybrid"`` fast-forwards conflict-free windows
-      analytically (:mod:`repro.sim.hybrid`); ``"detailed"`` (default)
-      defers to the machine config, which itself defaults to detailed.
     * ``compiled`` — route thread creation through the cohort compiler
-      (:mod:`repro.compile`).
+      (:mod:`repro.compile`); metrics are byte-identical to the
+      interpreter.
 
-    The class is frozen (hashable, safe as a cache-key ingredient) and
-    deliberately small; future execution modes (optimistic sync,
-    alternate topologies) extend it here rather than adding another
-    keyword to every entry point.  :meth:`validate` is the single home
-    for mode-combination rules; :meth:`parse` turns the CLI's
-    ``--plan shards=4,fidelity=hybrid`` spelling into a plan.
+    Every plan runs the one reference engine: the detailed sequential
+    simulator.  The class is frozen (hashable, safe as a cache-key
+    ingredient); :meth:`validate` checks it and :meth:`parse` turns the
+    CLI's ``--plan compiled`` spelling into a plan.
     """
 
-    shards: int = 0
-    fidelity: str = "detailed"
     compiled: bool = False
-
-    FIDELITIES: ClassVar[tuple[str, ...]] = ("detailed", "hybrid")
 
     def validate(self) -> "ExecutionPlan":
         """Check the plan; returns ``self`` so call sites can chain.
 
-        Malformed plans raise :class:`~repro.errors.PlanError`.  Legal
-        but partially-inert combinations emit a single
-        :class:`~repro.errors.PlanCompatibilityWarning`:
-
-        * ``fidelity="hybrid"`` with ``shards=K`` — the sharded engine
-          always simulates at detailed fidelity (metrics unaffected);
-        * ``compiled=True`` with ``fidelity="hybrid"`` — supported, but
-          a fast-forward miss reruns the app at detailed fidelity and
-          the cohort compiler repeats its trace/record work on the
-          rerun (metrics unaffected; cohort diagnostics describe the
-          run that produced the returned report);
-        * strict cohort validation (:func:`repro.compile.strict_cohorts`)
-          active without ``compiled=True`` — nothing to validate.
+        A malformed plan raises :class:`~repro.errors.PlanError`.  Strict
+        cohort validation (:func:`repro.compile.strict_cohorts`) active
+        without ``compiled=True`` has nothing to validate, which emits a
+        :class:`~repro.errors.PlanCompatibilityWarning`.
         """
-        if type(self.shards) is not int or self.shards < 0:
-            raise PlanError(f"shards must be a non-negative int, got {self.shards!r}")
-        if self.fidelity not in self.FIDELITIES:
-            raise PlanError(
-                f"unknown fidelity {self.fidelity!r}; expected one of {self.FIDELITIES}"
-            )
         if type(self.compiled) is not bool:
             raise PlanError(f"compiled must be a bool, got {self.compiled!r}")
-        if self.shards and self.fidelity == "hybrid":
-            warnings.warn(
-                f"fidelity='hybrid' is disabled under shards={self.shards}: the "
-                "sharded engine always simulates at detailed fidelity (metrics "
-                "are unaffected; drop shards= to get fast-forward)",
-                PlanCompatibilityWarning,
-                stacklevel=2,
-            )
-        if self.compiled and self.fidelity == "hybrid":
-            warnings.warn(
-                "compiled=True with fidelity='hybrid': a fast-forward miss "
-                "reruns the app at detailed fidelity, repeating the cohort "
-                "compiler's trace/record work (metrics are unaffected; cohort "
-                "diagnostics describe the run that produced the report)",
-                PlanCompatibilityWarning,
-                stacklevel=2,
-            )
         if not self.compiled:
             # strict_cohorts() can only be active if its module is
             # already imported; don't pull the compiler in just to ask.
@@ -230,90 +146,52 @@ class ExecutionPlan:
 
     @classmethod
     def parse(cls, text: str) -> "ExecutionPlan":
-        """Build a plan from the CLI spelling ``key=value[,key=value...]``.
+        """Build a plan from the CLI spelling ``key[=value][,...]``.
 
-        Keys are the field names; ``compiled`` accepts a bare flag or a
-        boolean literal: ``"shards=4,fidelity=hybrid"``,
-        ``"shards=2,compiled"``.  An empty string is the default plan.
+        The one key is ``compiled``, as a bare flag or with a boolean
+        literal: ``"compiled"``, ``"compiled=false"``.  An empty string
+        is the default plan.
         """
         values: dict[str, Any] = {}
         for token in filter(None, (t.strip() for t in text.split(","))):
             key, sep, raw = token.partition("=")
-            if not sep and key == "compiled":
-                key, raw = "compiled", "true"
-            elif not sep:
+            if not sep and key != "compiled":
                 raise PlanError(f"malformed plan token {token!r}; expected key=value")
-            if key == "shards":
-                try:
-                    values[key] = int(raw)
-                except ValueError:
-                    raise PlanError(f"shards must be an int, got {raw!r}") from None
-            elif key == "fidelity":
-                values[key] = raw
-            elif key == "compiled":
-                if raw.lower() not in ("true", "false", "1", "0"):
-                    raise PlanError(f"compiled must be a boolean, got {raw!r}")
-                values[key] = raw.lower() in ("true", "1")
-            else:
-                raise PlanError(
-                    f"unknown plan key {key!r}; expected shards/fidelity/compiled"
-                )
+            if key != "compiled":
+                raise PlanError(f"unknown plan key {key!r}; expected compiled")
+            if not sep:
+                raw = "true"
+            if raw.lower() not in ("true", "false", "1", "0"):
+                raise PlanError(f"compiled must be a boolean, got {raw!r}")
+            values[key] = raw.lower() in ("true", "1")
         return cls(**values).validate()
 
     def describe(self) -> str:
         """The canonical compact spelling (parseable by :meth:`parse`)."""
-        parts = [f"shards={self.shards}", f"fidelity={self.fidelity}"]
-        if self.compiled:
-            parts.append("compiled")
-        return ",".join(parts)
+        return "compiled" if self.compiled else ""
 
 
 def call_with_plan(fn: Callable[..., Any], kwargs: dict, plan: ExecutionPlan) -> Any:
     """Run ``fn(**kwargs)`` under ``plan`` — the single dispatch funnel.
 
     Every entry point (:func:`run`, the CLI, the runner's
-    :func:`~repro.runner.worker.execute_job`) resolves its knobs into an
-    :class:`ExecutionPlan` and lands here.  ``kwargs`` is the app's
-    keyword dict (``config``/``obs`` included); plan fields left at
-    their defaults defer to any machine config already present, so a
-    config built with ``fidelity="hybrid"`` or ``compiled=True`` keeps
+    :func:`~repro.runner.worker.execute_job`) lands here.  ``kwargs`` is
+    the app's keyword dict (``config``/``obs`` included).  A plan with
+    ``compiled=True`` sets ``config.compiled``; a default plan leaves
+    the config as given, so a config built with ``compiled=True`` keeps
     meaning what it always did.
     """
+    plan.validate()
     config = kwargs.get("config")
     if plan.compiled and (config is None or not config.compiled):
-        from dataclasses import replace as _replace
-
         from .config import MachineConfig
 
         config = (
             MachineConfig(compiled=True)
             if config is None
-            else _replace(config, compiled=True)
+            else replace(config, compiled=True)
         )
         kwargs = {**kwargs, "config": config}
-    fidelity = plan.fidelity
-    if fidelity == "detailed" and config is not None and config.fidelity == "hybrid":
-        fidelity = "hybrid"  # plan left at default: the config's choice stands
-    elif fidelity == "hybrid" and (config is None or config.fidelity != "hybrid"):
-        from .sim.hybrid import _with_fidelity
-
-        kwargs = _with_fidelity(kwargs, "hybrid")
-    # Validate the *effective* plan — config-carried fidelity folded in —
-    # so the mode-combination rules fire no matter how the knob arrived.
-    effective = (
-        plan
-        if plan.fidelity == fidelity
-        else ExecutionPlan(shards=plan.shards, fidelity=fidelity, compiled=plan.compiled)
-    )
-    effective.validate()
-    if plan.shards:
-        from .sim import parallel
-
-        return parallel.call_app(fn, plan.shards, kwargs)
-    if fidelity == "hybrid":
-        from .sim.hybrid import call_with_fallback
-
-        return call_with_fallback(fn, kwargs)
     return fn(**kwargs)
 
 
@@ -326,9 +204,6 @@ def run(
     config: Any = None,
     obs: Any = None,
     plan: ExecutionPlan | None = None,
-    shards: int | None = None,
-    fidelity: str | None = None,
-    compiled: bool | None = None,
     **app_kwargs: Any,
 ) -> "MachineReport":
     """Run one workload and return its :class:`~repro.machine.MachineReport`.
@@ -336,60 +211,13 @@ def run(
     ``app`` is a registry name (see :func:`app_names`); ``n`` the problem
     size, ``n_pes`` the processor count, ``h`` the threads per processor.
     Execution strategy comes in as ``plan=ExecutionPlan(...)`` — see
-    :class:`ExecutionPlan` for what each field does.  Extra keywords are
-    forwarded to the app (e.g. ``seed=``, ``verify=``, ``kernel=``).
-    Raises :class:`~repro.errors.ProgramError` for unknown apps or when
-    the run fails its self-verification.
-
-    The separate ``shards=``/``fidelity=``/``compiled=`` keywords are
-    the pre-plan spelling, kept as a deprecated shim: each call site
-    using them gets one :class:`DeprecationWarning` and the equivalent
-    plan built on its behalf.  They cannot be combined with ``plan=``.
+    :class:`ExecutionPlan`.  Extra keywords are forwarded to the app
+    (e.g. ``seed=``, ``verify=``, ``kernel=``).  Raises
+    :class:`~repro.errors.ProgramError` for unknown apps or when the run
+    fails its self-verification.
     """
     fn = get_app(app)
     kwargs = dict(n_pes=n_pes, n=n, h=h, config=config, obs=obs, **app_kwargs)
-    legacy = {
-        name: value
-        for name, value in (
-            ("shards", shards), ("fidelity", fidelity), ("compiled", compiled),
-        )
-        if value is not None
-    }
-    if legacy:
-        if plan is not None:
-            raise PlanError(
-                "pass plan=ExecutionPlan(...) or the legacy "
-                "shards=/fidelity=/compiled= keywords, not both"
-            )
-        warnings.warn(
-            f"repro.run({', '.join(f'{k}=' for k in sorted(legacy))}...) is "
-            "deprecated; pass plan=repro.ExecutionPlan(...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if compiled is not None:
-            # Explicit compiled=False historically forced the compiler
-            # *off* even when config said otherwise; preserve that by
-            # rewriting the config here, before the plan dispatch.
-            from dataclasses import replace as _replace
-
-            from .config import MachineConfig
-
-            cfg = kwargs.get("config")
-            kwargs["config"] = (
-                MachineConfig(compiled=compiled)
-                if cfg is None
-                else _replace(cfg, compiled=compiled)
-            )
-        if fidelity is not None:
-            from .sim.hybrid import _with_fidelity
-
-            kwargs = _with_fidelity(kwargs, fidelity)
-        plan = ExecutionPlan(
-            shards=shards or 0,
-            fidelity=fidelity or "detailed",
-            compiled=bool(compiled),
-        )
     result = call_with_plan(fn, kwargs, plan or ExecutionPlan())
     if not result_ok(result):
         raise ProgramError(f"app {app!r} (n={n}, n_pes={n_pes}, h={h}) failed verification")

@@ -1,16 +1,14 @@
 """Differential oracle for the cohort compiler.
 
-The compiled path's correctness bar is *stricter* than the hybrid
-engine's: compiling a thread changes how its generator is driven, not
-which events the machine fires, so an interpreted and a compiled run of
+Compiling a thread changes how its generator is driven, not which
+events the machine fires, so an interpreted and a compiled run of
 the same shape must agree on **everything** — metrics, ``events_fired``,
 the serialized :class:`~repro.experiments.common.RunRecord`, and the
 Perfetto export of the full event stream — except the report's
 ``cohort`` accounting section and the diagnostic ``COHORT`` obs events,
 which only exist on the compiled side.
 
-:class:`CompileDifferentialHarness` mirrors
-:class:`~repro.sim.hybrid.HybridDifferentialHarness`: ``check()``
+:class:`CompileDifferentialHarness` is the oracle: ``check()``
 raises on any difference, ``shrink()`` reduces a failing shape, and
 compiled runs execute under :func:`~repro.compile.cohort.strict_cohorts`
 so a cohort member diverging from its trace surfaces as
@@ -24,21 +22,42 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any
 
-from ..sim.hybrid import diff_paths
 from .cohort import strict_cohorts
 
 __all__ = [
+    "diff_paths",
     "comparable_compile_report",
     "CompileDifferentialResult",
     "CompileDifferentialHarness",
 ]
 
 
+def diff_paths(a: Any, b: Any, prefix: str = "") -> list[str]:
+    """Dotted paths at which two JSON-like values differ (leaves only)."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        out: list[str] = []
+        for key in sorted(set(a) | set(b), key=str):
+            here = f"{prefix}.{key}" if prefix else str(key)
+            if key not in a or key not in b:
+                out.append(here)
+            else:
+                out.extend(diff_paths(a[key], b[key], here))
+        return out
+    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
+        if len(a) != len(b):
+            return [f"{prefix}.len" if prefix else "len"]
+        out = []
+        for i, (x, y) in enumerate(zip(a, b)):
+            out.extend(diff_paths(x, y, f"{prefix}[{i}]"))
+        return out
+    return [] if a == b else [prefix or "<root>"]
+
+
 def comparable_compile_report(report) -> dict:
     """Full report serialisation minus only the ``cohort`` section.
 
-    Unlike hybrid comparisons, ``events_fired`` stays in: the compiled
-    path must not change the event structure at all.
+    ``events_fired`` stays in: the compiled path must not change the
+    event structure at all.
     """
     from ..metrics.serialize import report_to_dict
 

@@ -234,8 +234,6 @@ def run_trace(prog: TraceProgram, ctx, args: tuple):
                 raise MemoryFault(
                     f"access [{i}, {i + 1}) outside memory of {mem_size} words"
                 )
-            if mem._watches:
-                mem._watch_hit(i, 1)
             mem.writes += 1
             mem_words[i] = v
         elif o == MEM_LOAD:
@@ -254,8 +252,6 @@ def run_trace(prog: TraceProgram, ctx, args: tuple):
                 raise MemoryFault(
                     f"access [{i}, {i + 1}) outside memory of {mem_size} words"
                 )
-            if mem._watches:
-                mem._watch_hit(i, 1)
             mem.writes += 1
             mem_words[i] = R[op[2]]
         elif o == MUL:

@@ -13,7 +13,6 @@ __all__ = [
     "PlanError",
     "PlanCompatibilityWarning",
     "SimulationError",
-    "FastForwardMiss",
     "CompileDivergence",
     "DeadlockError",
     "AddressError",
@@ -42,43 +41,27 @@ class ConfigError(ReproError):
 class PlanError(ConfigError):
     """An invalid or self-contradictory :class:`repro.api.ExecutionPlan`.
 
-    Raised by ``ExecutionPlan.validate()`` (and the entry points that
-    funnel through it) for malformed plans — an unknown fidelity, a
-    negative shard count, a plan passed alongside the legacy keyword
-    knobs it replaces.  Mode *incompatibilities* that the engine can
-    resolve safely (hybrid fidelity under sharding, strict cohort
-    validation without the compiler) are downgraded to
-    :class:`PlanCompatibilityWarning` instead.
+    Raised by ``ExecutionPlan.validate()`` and ``ExecutionPlan.parse()``
+    (and the entry points that funnel through them) for malformed plans:
+    an unknown plan key or a non-boolean ``compiled``.  A combination
+    the engine can resolve safely (strict cohort validation without the
+    compiler) is downgraded to :class:`PlanCompatibilityWarning`
+    instead.
     """
 
 
 class PlanCompatibilityWarning(RuntimeWarning):
     """An execution-plan combination that is legal but partially inert.
 
-    The single warning category for mode interactions: hybrid fidelity
-    under ``shards=K`` (the sharded engine always runs detailed),
-    strict cohort validation without ``compiled=True`` (nothing to
-    validate).  Subclasses :class:`RuntimeWarning` so pre-existing
+    The single warning category for mode interactions: strict cohort
+    validation without ``compiled=True`` (nothing to validate).
+    Subclasses :class:`RuntimeWarning` so pre-existing
     ``pytest.warns(RuntimeWarning)`` callers keep matching.
     """
 
 
 class SimulationError(ReproError):
     """The discrete-event engine reached an inconsistent state."""
-
-
-class FastForwardMiss(SimulationError):
-    """A hybrid fast-forward precondition broke after the fact.
-
-    Raised by the ``fidelity="hybrid"`` machinery when an already
-    fast-forwarded window turns out to be contended (a packet would have
-    beaten a forwarded reservation to a port, a memory word read early
-    by a folded DMA was overwritten before the real service time, or the
-    canonical in-flight reconstruction is interleaving-dependent).  The
-    hybrid driver catches it and re-runs the workload at
-    ``fidelity="detailed"`` — metric exactness is preserved by falling
-    back, never by guessing.
-    """
 
 
 class CompileDivergence(SimulationError):

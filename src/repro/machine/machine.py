@@ -55,21 +55,10 @@ class MachineReport:
     network: NetworkStats
     #: Per-PE burst traces (populated when ``MachineConfig.trace`` is on).
     traces: dict[int, list] | None = None
-    #: Hybrid-fidelity fast-forward accounting (``None`` for detailed
-    #: runs): how many packets/cycles were advanced analytically and how
-    #: many events that saved.  Diagnostic only — deliberately excluded
-    #: from metric comparisons, like ``events_fired``.
-    fastforward: dict | None = None
     #: Cohort-compiler accounting (``None`` unless ``compiled=True``):
     #: per-front-end thread counts, cohort census, bailouts.  Diagnostic
-    #: only, excluded from metric comparisons like ``fastforward``.
+    #: only, excluded from metric comparisons.
     cohort: dict | None = None
-    #: Window-protocol accounting for sharded runs (``None`` otherwise):
-    #: protocol name, barrier/window counts, coalesce count, per-shard
-    #: barrier wall time and idle windows, lookahead-matrix bounds.
-    #: Diagnostic only — it depends on K and wall clocks, so it is
-    #: excluded from the serialised report and all metric comparisons.
-    windows: dict | None = None
 
     @property
     def runtime_seconds(self) -> float:
@@ -114,43 +103,19 @@ class EMX:
     ) -> None:
         self.config = config or MachineConfig()
         self.config.validate()
-        from ..sim import parallel  # machine ↔ parallel: lazy to break the cycle
-
-        #: Shard context when built inside ``repro.run(..., shards=K)``;
-        #: ``None`` selects the legacy sequential machine.
-        self.shard = parallel.active_context()
-        #: The caller's bus; in a sharded run events are captured in a
-        #: per-shard log and replayed into this bus after merging.
-        self._outer_obs = obs
-        if self.shard is not None and obs is not None:
-            from ..obs.merge import ShardEventLog
-
-            obs = ShardEventLog()
         #: Observability bus (``None`` = tracing off; every emit site in
         #: the model guards on exactly this attribute being non-None).
         self.obs = obs
         self.engine = Engine(self.config.max_cycles)
-        if self.shard is not None:
-            from ..network.sharded import ShardedOmegaNetwork
-
-            self.network = ShardedOmegaNetwork(
-                self.engine, self.config, self.shard.spec.owns, obs=obs,
-                spec=self.shard.spec,
-            )
-        else:
-            self.network = build_network(self.engine, self.config, obs=obs)
+        self.network = build_network(self.engine, self.config, obs=obs)
         self.registry = ProgramRegistry()
         self.live_threads = 0
         self._next_tid = 0
         self._barriers: dict[int, GlobalBarrier] = {}
         self.pes = [EMCYProcessor(pe, self) for pe in range(self.config.n_pes)]
-        local_events = getattr(self.network, "ff_local_events", None)
         for proc in self.pes:
             self.network.attach(proc.pe, proc.deliver)
-            if local_events is not None:
-                local_events[proc.pe] = proc.pending_local_events
-        if self.shard is None:
-            self.engine.quiescence_watcher = self._stuck_report
+        self.engine.quiescence_watcher = self._stuck_report
         #: Cohort compiler (``compiled=True`` only): intercepts thread
         #: creation to swap in compiled effect steppers.
         self.cohorts = None
@@ -185,8 +150,6 @@ class EMX:
             raise ProgramError(f"spawn on PE {pe} of {self.config.n_pes}")
         if func_name not in self.registry:
             raise ProgramError(f"spawn of unregistered thread function {func_name!r}")
-        if self.shard is not None and not self.shard.spec.owns(pe):
-            return  # another shard simulates this PE (setup is replicated)
         pkt = Packet(
             kind=PacketKind.INVOKE,
             src=pe,
@@ -278,14 +241,7 @@ class EMX:
     # ------------------------------------------------------------------
     def run(self, until: int | None = None) -> MachineReport:
         """Run to quiescence (or ``until``) and return the report."""
-        if self.shard is not None:
-            from ..sim import parallel
-
-            return parallel.run_windowed(self, until)
         self.engine.run(until)
-        finalize = getattr(self.network, "finalize_stats", None)
-        if finalize is not None:
-            finalize()
         runtime = max((p.counters.last_active for p in self.pes), default=0)
         for proc in self.pes:
             proc.counters.check_accounting()
@@ -296,26 +252,8 @@ class EMX:
             counters=[p.counters for p in self.pes],
             network=self.network.stats,
             traces=self.traces() if self.config.trace else None,
-            fastforward=self._fastforward_summary(),
             cohort=self._cohort_summary(),
         )
-
-    def _fastforward_summary(self) -> dict | None:
-        """Fast-forward accounting for hybrid runs (None otherwise)."""
-        if self.config.fidelity != "hybrid":
-            return None
-        net = self.network
-        dma_folds = sum(p.ibu.dma_folds for p in self.pes)
-        kicks = sum(p.exu.kicks_inlined for p in self.pes)
-        return {
-            "packets_forwarded": getattr(net, "ff_packets", 0),
-            "packets_total": net.stats.packets,
-            "transit_cycles_forwarded": getattr(net, "ff_transit_cycles", 0),
-            "transit_cycles_total": net.stats.total_latency,
-            "dma_folds": dma_folds,
-            "kicks_inlined": kicks,
-            "events_saved": getattr(net, "ff_events_saved", 0) + dma_folds + kicks,
-        }
 
     def _cohort_summary(self) -> dict | None:
         """Cohort-compiler accounting for compiled runs (None otherwise)."""

@@ -47,14 +47,8 @@ def counters_to_dict(c: PECounters) -> dict[str, Any]:
 def report_to_dict(report) -> dict[str, Any]:
     """A :class:`~repro.machine.MachineReport` as a JSON-safe dict.
 
-    Hybrid-fidelity runs add a ``fastforward`` section (what the
-    fast-forward layer saved); detailed runs serialise exactly as they
-    always have, so cached records and goldens are unaffected.
-
-    ``MachineReport.windows`` is deliberately **not** serialised: it
-    describes the shard partition and wall-clock barrier costs, so
-    including it would break the cross-K byte-identity of serialised
-    reports (K ∈ {1, 2, 4} must produce identical bytes).
+    Compiled runs add a ``cohort`` section (the cohort compiler's
+    accounting); interpreted runs serialise without it.
     """
     breakdown = report.breakdown
     out = {
@@ -85,8 +79,6 @@ def report_to_dict(report) -> dict[str, Any]:
         },
         "per_pe": [counters_to_dict(c) for c in report.counters],
     }
-    if getattr(report, "fastforward", None) is not None:
-        out["fastforward"] = dict(report.fastforward)
     if getattr(report, "cohort", None) is not None:
         out["cohort"] = dict(report.cohort)
     return out

@@ -39,13 +39,11 @@ from .events import (
     BarrierEvent,
     BurstSpan,
     Category,
-    FastForward,
     MatchEvent,
     PacketDeliver,
     PacketHop,
     PacketSend,
     ServiceEvent,
-    ShardWindow,
     ThreadLife,
     ThreadSwitch,
 )
@@ -73,8 +71,6 @@ __all__ = [
     "BarrierEvent",
     "ThreadLife",
     "ServiceEvent",
-    "FastForward",
-    "ShardWindow",
     "EventBus",
     "RingRecorder",
     "PacketSpan",

@@ -34,9 +34,7 @@ __all__ = [
     "BarrierEvent",
     "ThreadLife",
     "ServiceEvent",
-    "FastForward",
     "CohortEvent",
-    "ShardWindow",
 ]
 
 
@@ -50,15 +48,7 @@ class Category(enum.Enum):
     BARRIER = "barrier"
     THREAD = "thread"
     SERVICE = "service"
-    FASTFORWARD = "fastforward"
     COHORT = "cohort"
-    #: Window-protocol diagnostics from sharded runs.  Opt-in only: a
-    #: ``categories=None`` subscription does **not** receive it (see
-    #: :class:`~repro.obs.bus.EventBus`), because these events describe
-    #: the partition (K, barrier placement, wall time), not the
-    #: simulated machine, and would break the K-invariance of default
-    #: recordings.
-    SHARD = "shard"
 
 
 @dataclass(frozen=True, slots=True)
@@ -191,37 +181,10 @@ class ServiceEvent:
 
 
 @dataclass(frozen=True, slots=True)
-class FastForward:
-    """A conflict-free window advanced analytically (hybrid fidelity).
-
-    Emitted instead of the per-hop packet events the window would have
-    produced, so traces of ``fidelity="hybrid"`` runs show *where* the
-    engine skipped detailed simulation.  ``kind`` is one of ``net`` (an
-    uncontended packet transit forwarded to its delivery time), ``dma``
-    (a by-passing DMA service folded into its request's arrival), or
-    ``kick`` (an EXU wake-up dispatched inline without an event).
-    ``t``/``end`` bound the skipped window in cycles; ``pe`` is the
-    owning processor (the source PE for ``net``); ``seq`` identifies
-    the packet for packet-backed windows; ``saved`` counts the discrete
-    events the window did *not* fire.
-    """
-
-    category: ClassVar[Category] = Category.FASTFORWARD
-
-    t: int
-    end: int
-    pe: int
-    kind: str
-    seq: int = -1
-    saved: int = 0
-
-
-@dataclass(frozen=True, slots=True)
 class CohortEvent:
     """Cohort-compiler progress on a ``compiled=True`` machine.
 
-    Like :class:`FastForward` these are diagnostic: they exist only on
-    the compiled path and are excluded from interpreted-vs-compiled
+    These are diagnostic: they exist only on the compiled path and are excluded from interpreted-vs-compiled
     comparisons.  ``kind`` is one of ``emc_codegen``/``emc_trace``/
     ``emc_interp`` (an EM-C thread definition settling on a compile
     tier; ``n`` = params or trace ops), ``record`` (a generator shape
@@ -238,29 +201,6 @@ class CohortEvent:
     kind: str
     name: str = ""
     n: int = 0
-
-
-@dataclass(frozen=True, slots=True)
-class ShardWindow:
-    """One conservative window executed by one shard.
-
-    Emitted by the window protocol (:mod:`repro.sim.parallel`) after the
-    final merge, one event per (shard, window), in ``(t, end, shard)``
-    order.  ``t``/``end`` bound the window in simulated cycles;
-    ``barrier_us`` is the *wall-clock* microseconds that shard spent in
-    the window's opening barrier (like :class:`ServiceEvent`, real time
-    rides along as a diagnostic); ``fired`` counts the events the shard
-    fired inside the window (0 = it sat the window out).  SHARD-category
-    — subscribe to it explicitly; see :class:`Category`.
-    """
-
-    category: ClassVar[Category] = Category.SHARD
-
-    t: int
-    end: int
-    shard: int
-    barrier_us: float = 0.0
-    fired: int = 0
 
 
 @dataclass(frozen=True, slots=True)

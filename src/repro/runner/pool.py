@@ -104,12 +104,22 @@ def _run_pass(
     """One executor pass; returns (results, crashed-spec list).
 
     Only pool breakage lands in the crash list — workload exceptions
-    cancel what they can and propagate.
+    cancel what they can and propagate.  A worker can die while jobs
+    are still being submitted; ``submit`` then raises
+    ``BrokenProcessPool``, and that spec and every unsubmitted one
+    count as crashed, exactly like the in-flight futures the broken
+    pool fails.
     """
     results: dict[JobSpec, object] = {}
     crashed: list[JobSpec] = []
     with ProcessPoolExecutor(max_workers=min(jobs, len(specs))) as pool:
-        futures = {pool.submit(worker, spec, timeout): spec for spec in specs}
+        futures = {}
+        for i, spec in enumerate(specs):
+            try:
+                futures[pool.submit(worker, spec, timeout)] = spec
+            except BrokenProcessPool:
+                crashed.extend(specs[i:])
+                break
         for future in as_completed(futures):
             spec = futures[future]
             try:

@@ -181,11 +181,7 @@ def execute_job(spec: JobSpec, *, trace_dir: str | None = None):
     kwargs = dict(
         n_pes=spec.n_pes, n=n, h=spec.h, config=config, seed=spec.seed, obs=bus
     )
-    # One dispatch funnel for every execution mode: sharded runs,
-    # hybrid fast-forward (with its detailed-rerun safety net), the
-    # cohort compiler.  The spec's three execution fields are exactly
-    # an ExecutionPlan; config already carries fidelity/compiled, so
-    # the plan only adds the shard fan-out here.
+    # config already carries ``compiled``; the funnel validates the plan.
     result = call_with_plan(fn, kwargs, spec.execution_plan)
     verified = result_ok(result)
     if not verified:
@@ -220,14 +216,12 @@ def execute_job(spec: JobSpec, *, trace_dir: str | None = None):
 
 
 def _max_rss_kb() -> int | None:
-    """Peak RSS of this process (and its reaped shard children), in KiB."""
+    """Peak RSS of this process, in KiB."""
     try:
         import resource
     except ImportError:  # pragma: no cover - non-POSIX
         return None
-    usage = resource.getrusage(resource.RUSAGE_SELF)
-    children = resource.getrusage(resource.RUSAGE_CHILDREN)
-    peak = max(usage.ru_maxrss, children.ru_maxrss)
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     # Linux reports KiB; macOS reports bytes.
     if sys.platform == "darwin":  # pragma: no cover - linux CI
         peak //= 1024

@@ -199,7 +199,9 @@ def test_trace_outliving_thread_bails():
 
 
 def test_emc_front_end_uses_codegen_tier():
-    report = repro.run("emc-sort", n=64, n_pes=4, h=2, compiled=True)
+    report = repro.run(
+        "emc-sort", n=64, n_pes=4, h=2, plan=repro.ExecutionPlan(compiled=True)
+    )
     summary = report.cohort
     assert summary["emc_codegen_threads"] > 0
     assert summary["emc_interp_threads"] == 0
@@ -209,19 +211,21 @@ def test_emc_front_end_uses_codegen_tier():
 def test_emc_compiled_matches_interpreted():
     base = dict(n=64, n_pes=4, h=2)
     interpreted = repro.run("emc-sort", **base)
-    compiled = repro.run("emc-sort", compiled=True, **base)
+    compiled = repro.run("emc-sort", plan=repro.ExecutionPlan(compiled=True), **base)
     assert comparable_compile_report(interpreted) == comparable_compile_report(
         compiled
     )
 
 
 def test_config_compiled_flag_round_trip():
-    """compiled=True via config object, repro.run keyword, and default
+    """compiled=True via config object, repro.run plan, and default
     off all agree on whether the cohort section exists."""
     via_config = repro.run(
         "sort", n=32, n_pes=4, h=1, config=MachineConfig(compiled=True)
     )
-    via_kwarg = repro.run("sort", n=32, n_pes=4, h=1, compiled=True)
+    via_kwarg = repro.run(
+        "sort", n=32, n_pes=4, h=1, plan=repro.ExecutionPlan(compiled=True)
+    )
     off = repro.run("sort", n=32, n_pes=4, h=1)
     assert via_config.cohort is not None
     assert via_kwarg.cohort is not None

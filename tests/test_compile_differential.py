@@ -17,6 +17,7 @@ import pytest
 from repro.compile.differential import (
     CompileDifferentialHarness,
     comparable_compile_report,
+    diff_paths,
 )
 from repro.metrics.serialize import run_record_to_dict
 from repro.runner.jobs import JobSpec, machine_fingerprint, spec_from_dict, spec_to_dict
@@ -73,8 +74,8 @@ def test_harness_shrink_returns_identical_for_good_shape():
 
 
 def test_run_records_identical_including_events():
-    """What figures and the cache consume is equal in full — unlike
-    hybrid, the compiled path may not even change the event count."""
+    """What figures and the cache consume is equal in full — the
+    compiled path may not even change the event count."""
     base = JobSpec(app="sort", n_pes=4, npp=16, h=2)
     compiled = JobSpec(app="sort", n_pes=4, npp=16, h=2, compiled=True)
     rec_base = run_record_to_dict(execute_job(base))
@@ -100,7 +101,7 @@ def test_jobspec_compiled_keys_distinctly():
 def test_cli_compiled_flag(capsys):
     from repro.__main__ import main
 
-    main(["sort", "--pes", "4", "--size", "16", "--threads", "2", "--compiled"])
+    main(["sort", "--pes", "4", "--size", "16", "--threads", "2", "--plan", "compiled"])
     out = capsys.readouterr().out
     assert "OK" in out
 
@@ -113,7 +114,7 @@ def test_cli_apps_lists_registry(capsys):
     for name in ("sort", "emc-sort", "fft", "transpose"):
         assert name in out
     assert "n_pes, n, h" in out  # the unified signature
-    assert "--compiled" in out  # supported flags
+    assert "--plan compiled" in out  # supported flags
 
 
 def test_cli_apps_json(capsys):
@@ -126,13 +127,21 @@ def test_cli_apps_json(capsys):
     by_name = {e["name"]: e for e in entries}
     assert "bitonic" in by_name["sort"]["aliases"]
     assert by_name["fft"]["signature"][:3] == ["n_pes", "n", "h"]
-    assert "--compiled" in by_name["sort"]["flags"]
+    assert by_name["sort"]["flags"] == ["--plan"]
 
 
 def test_comparable_report_drops_only_cohort():
     import repro
 
-    report = repro.run("sort", n=32, n_pes=4, h=1, compiled=True)
+    report = repro.run("sort", n=32, n_pes=4, h=1, plan=repro.ExecutionPlan(compiled=True))
     comparable = comparable_compile_report(report)
     assert "cohort" not in comparable
     assert "events_fired" in comparable
+
+
+def test_diff_paths_names_leaf_differences():
+    a = {"cycles": 10, "network": {"hops": [1, 2], "peak": 3}}
+    b = {"cycles": 11, "network": {"hops": [1, 5], "peak": 3}}
+    assert diff_paths(a, b) == ["cycles", "network.hops[1]"]
+    assert diff_paths(a, a) == []
+    assert diff_paths({"x": 1}, {"y": 1}) == ["x", "y"]

@@ -181,7 +181,6 @@ def _drive(gen, replies):
 
 class _FakeMem:
     size = 4096
-    _watches = ()
     reads = 0
     writes = 0
 
@@ -228,7 +227,7 @@ def test_emc_tiers_fuse_reads_identically(source, reply, fused):
 
 
 # ----------------------------------------------------------------------
-# Observability: Perfetto golden and the shard-merge round trip
+# Observability: Perfetto golden
 # ----------------------------------------------------------------------
 def _recorded_compiled_run():
     from repro.obs import EventBus, RingRecorder
@@ -252,29 +251,6 @@ def test_perfetto_compiled_golden_byte_identical(tmp_path):
     assert path.read_bytes() == golden.read_bytes()
     trace = json.loads(path.read_text())
     assert any(ev.get("cat") == "cohort" for ev in trace["traceEvents"])
-
-
-def test_cohort_events_round_trip_through_shard_merge():
-    """COHORT diagnostics survive the sharded-run merge path unchanged:
-    any partition of the stream merges to the same sequence, and the
-    merged stream exports to byte-identical Perfetto JSON."""
-    from repro.obs.events import CohortEvent
-    from repro.obs.merge import merge_shard_events
-    from repro.obs.perfetto import to_perfetto
-
-    events = _recorded_compiled_run()
-    assert any(type(ev) is CohortEvent for ev in events)
-    whole = merge_shard_events([list(events)], [{}])
-    split = merge_shard_events(
-        [list(events[0::2]), list(events[1::2])], [{}, {}]
-    )
-    assert whole == split
-    assert [ev for ev in whole if type(ev) is CohortEvent] == \
-           sorted((ev for ev in events if type(ev) is CohortEvent),
-                  key=lambda ev: (ev.t, ev.pe, ev.kind, ev.name, ev.n))
-    a = json.dumps(to_perfetto(whole, n_pes=2), sort_keys=True)
-    b = json.dumps(to_perfetto(split, n_pes=2), sort_keys=True)
-    assert a == b
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ import sys
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.runner.jobs import JobSpec, spec_from_dict, spec_to_dict
 
 GOLDENS_PATH = pathlib.Path(__file__).parent / "goldens" / "jobspec_keys.json"
@@ -48,6 +49,11 @@ def test_key_is_invariant_to_dict_round_trip():
         again = spec_from_dict(spec_to_dict(spec))
         assert again == spec
         assert again.key() == spec.key()
+    # A stale client still sending a removed execution-mode field is
+    # refused loudly instead of being hashed to a fresh key.
+    for field, value in (("shards", 2), ("fidelity", "hybrid")):
+        with pytest.raises(ConfigError, match="unknown job-spec fields"):
+            spec_from_dict({**GOLDENS[0]["spec"], field: value})
 
 
 def test_key_is_invariant_to_field_order():
@@ -67,17 +73,9 @@ def test_seed_and_machine_flags_move_the_key():
         JobSpec(app="sort", n_pes=4, npp=32, h=2, seed=1),
         JobSpec(app="sort", n_pes=4, npp=32, h=2, em4_mode=True),
         JobSpec(app="sort", n_pes=4, npp=32, h=2, priority_replies=True),
-        JobSpec(app="sort", n_pes=4, npp=32, h=2, shards=2),
     ]
     keys = {base.key()} | {variant.key() for variant in variants}
     assert len(keys) == len(variants) + 1
-
-
-def test_shard_count_does_not_move_the_key():
-    """Sharding is K-independent semantics: K=2 and K=8 share a key."""
-    two = JobSpec(app="sort", n_pes=4, npp=32, h=2, shards=2)
-    eight = JobSpec(app="sort", n_pes=4, npp=32, h=2, shards=8)
-    assert two.key() == eight.key()
 
 
 def test_keys_match_across_processes():

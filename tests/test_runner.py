@@ -328,6 +328,39 @@ def test_worker_crash_twice_raises():
         run_jobs(DETERMINISM_SPECS[:2], jobs=2, worker=_always_crash_worker)
 
 
+def _label_worker(spec, timeout):
+    return spec.describe()
+
+
+def test_broken_pool_during_submit_is_retried(monkeypatch):
+    """A worker that dies before a later ``submit`` breaks the pool
+    mid-submission: ``submit`` itself raises ``BrokenProcessPool``.
+    That spec and the unsubmitted rest go through the one-retry path
+    instead of escaping crash accounting."""
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    from repro.runner import pool as pool_mod
+
+    calls = []
+
+    class BreaksOnSecondSubmit(ProcessPoolExecutor):
+        def submit(self, *args, **kwargs):
+            calls.append(args[1])
+            if len(calls) == 2:
+                raise BrokenProcessPool("worker died during submission")
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", BreaksOnSecondSubmit)
+    specs = DETERMINISM_SPECS[:3]
+    status = PoolStatus(total=3, workers=2)
+    results = run_jobs(specs, jobs=2, worker=_label_worker, status=status)
+    assert results == {spec: spec.describe() for spec in specs}
+    assert status.retried == 2 and status.completed == 3
+    # pass 1 submits specs 0 and 1 (which breaks); pass 2 retries 1 and 2
+    assert calls == [specs[0], specs[1], specs[1], specs[2]]
+
+
 def _sleepy_worker(spec, timeout):
     from repro.runner.worker import deadline
 
