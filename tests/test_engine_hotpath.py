@@ -6,12 +6,14 @@ simulation results event for event, and the same cancel semantics under
 fire/cancel races.  These tests pin all three.
 """
 
+import itertools
 import pathlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.apps.bitonic import run_bitonic
 from repro.errors import SimulationError
 from repro.machine import machine as machine_mod
@@ -85,6 +87,93 @@ def test_full_simulation_identical_on_reference_queue():
     assert [c.total_switches for c in fast.counters] == [
         c.total_switches for c in slow.counters
     ]
+
+
+def _firing_sequence(queue, starts, script, horizons):
+    """Run a self-rescheduling, self-cancelling workload on ``queue``.
+
+    Each event records ``(now, tag)`` and consults its ``script`` entry for
+    two follow-up delays and whether to cancel an earlier handle.  The
+    run is cut at each horizon in turn (a paused caller), and more
+    events are pushed from outside between the pauses.
+    """
+    eng = Engine(queue=queue)
+    fired: list[tuple[int, int]] = []
+    handles: list = []
+    tags = itertools.count()
+    budget = [200]
+
+    def push(delay):
+        handles.append(eng.schedule(delay, handler, next(tags)))
+
+    def handler(tag):
+        fired.append((eng.now, tag))
+        d1, d2, cancel = script[tag % len(script)]
+        if budget[0] > 0:
+            budget[0] -= 2
+            push(d1)
+            push(d2)
+        if cancel:
+            eng.cancel(handles[(tag * 7) % len(handles)])
+
+    for d in starts:
+        push(d)
+    for until in horizons:
+        eng.run(until=eng.now + until)
+        push(until % 101)
+    eng.run()
+    return fired, eng.now, eng.events_fired
+
+
+@given(
+    starts=st.lists(st.integers(0, 100), min_size=1, max_size=6),
+    script=st.lists(
+        st.tuples(st.integers(0, 100), st.integers(0, 100), st.booleans()),
+        min_size=1,
+        max_size=30,
+    ),
+    horizons=st.lists(st.integers(0, 150), max_size=4),
+)
+@settings(max_examples=150, deadline=None)
+def test_engine_batched_drain_matches_reference(starts, script, horizons):
+    """The batched engine fires exactly the reference engine's sequence.
+
+    Delays up to 100 against a 16-cycle window make most pushes jump
+    past the near ring, so the run drives ``next_cycle``/
+    ``finish_cycle``, re-anchoring and the generic fallback — not just
+    ``pop``/``peek_time`` as the queue-level differential does.
+    """
+    fast = _firing_sequence(EventQueue(window=16), starts, script, horizons)
+    slow = _firing_sequence(ReferenceEventQueue(), starts, script, horizons)
+    assert fast == slow
+
+
+def test_ring_reanchors_after_a_jump_past_the_window():
+    """Once the ring drains, the cursor jumps to the far head, so later
+    near-future pushes land in the ring instead of the heap."""
+    q = EventQueue(window=16)
+    q.push(0, _noop)
+    q.push(100, _noop)
+    assert [q.pop().time, q.pop().time] == [0, 100]
+    q.push(101, _noop)
+    q.push(110, _noop)
+    assert q._far == []
+    assert [q.pop().time, q.pop().time] == [101, 110]
+
+
+def test_long_burst_run_stays_on_the_batched_path(monkeypatch):
+    """Sort opens with a compute burst longer than the window; the whole
+    run must still drain through cycle buckets, never the generic path."""
+    calls = []
+    generic = Engine._drain_one_cycle_generic
+
+    def counting(self, queue, t):
+        calls.append(t)
+        return generic(self, queue, t)
+
+    monkeypatch.setattr(Engine, "_drain_one_cycle_generic", counting)
+    repro.run("sort", n=1024, n_pes=4, h=1, seed=0)
+    assert calls == []
 
 
 def test_generic_engine_path_still_works():
