@@ -114,7 +114,7 @@ class EMX:
         self._barriers: dict[int, GlobalBarrier] = {}
         self.pes = [EMCYProcessor(pe, self) for pe in range(self.config.n_pes)]
         for proc in self.pes:
-            self.network.attach(proc.pe, proc.deliver)
+            self.network.attach(proc.pe, proc.ibu.receive)
         self.engine.quiescence_watcher = self._stuck_report
         #: Cohort compiler (``compiled=True`` only): intercepts thread
         #: creation to swap in compiled effect steppers.

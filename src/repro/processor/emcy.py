@@ -3,8 +3,8 @@
 One :class:`EMCYProcessor` aggregates the local memory system (memory,
 segment allocator, frame table, matching memory), the pipeline units
 (IBU, EXU, OBU), the continuation table, and the per-PE counters.  The
-machine attaches :meth:`deliver` (the Switching Unit's role) to the
-network as this PE's packet sink.
+network sink is the IBU: the machine attaches ``ibu.receive`` (the
+Switching Unit's role) to the network as this PE's packet sink.
 """
 
 from __future__ import annotations
@@ -46,17 +46,12 @@ class EMCYProcessor:
         #: Burst-level trace (populated when ``config.trace`` is set).
         self.trace: list = []
 
-        # Pipeline units.
+        # Pipeline units (the IBU reads the OBU, the EXU reads the IBU).
         self.obu = OutputBufferUnit(pe, machine.engine, machine.network, machine.obs)
         self.ibu = InputBufferUnit(self)
         self.exu = ExecutionUnit(self)
 
     # ------------------------------------------------------------------
-    def deliver(self, pkt: Packet) -> None:
-        """Switching Unit entry: a packet arrived for this PE."""
-        self.counters.packets_handled += 1
-        self.ibu.receive(pkt)
-
     def schedule_enqueue(self, when: int, pkt: Packet) -> None:
         """Schedule ``pkt`` into the IBU FIFO at cycle ``when``."""
         self.machine.engine.schedule_at(when, self.ibu.enqueue, pkt)

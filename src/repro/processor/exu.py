@@ -39,11 +39,12 @@ from ..core.effects import (
     TokenWait,
 )
 from ..core.thread import EMThread, ThreadState
-from ..errors import CompileDivergence, SchedulerError, ThreadProtocolError
+from ..errors import CompileDivergence, SchedulerError, SimulationError, ThreadProtocolError
 from ..metrics.counters import Bucket, SwitchKind
 from ..obs.events import BarrierEvent, BurstSpan, ThreadSwitch
-from ..packet import Packet, PacketKind
+from ..packet import Packet, PacketKind, Priority
 from ..trace import TraceEvent
+from .ibu import build_reply
 
 __all__ = ["ExecutionUnit"]
 
@@ -59,61 +60,87 @@ class ExecutionUnit:
     def __init__(self, proc) -> None:
         self._proc = proc
         # Construction-time caches (machine wiring precedes processor
-        # construction and is immutable afterwards): the kick/dispatch
-        # path runs once per packet, so every saved attribute chain
-        # shows up on the fig6 sweep.
+        # construction and is immutable afterwards; the processor builds
+        # its IBU first): the kick runs once per packet, so every saved
+        # attribute chain shows up on the fig6 sweep.
         machine = proc.machine
+        self._machine = machine
         self._engine = machine.engine
         self._timing = machine.config.timing
+        self._match_invoke = machine.config.timing.match_invoke
+        self._mem_exchange = machine.config.timing.mem_exchange
         self._trace_on = machine.config.trace
         self._obs = machine.obs
+        self._ibu = proc.ibu
+        self._q_high = proc.ibu.q_high
+        self._q_normal = proc.ibu.q_normal
+        self._continuations = proc.continuations
+        self._counters = proc.counters
         self.busy_until = 0
-        self._kick_scheduled = False
+        #: A kick event is scheduled (the IBU arms it on enqueue).
+        self.kick_pending = False
         self._last_end: int | None = None
 
     # ------------------------------------------------------------------
-    # Wake-up protocol
+    # Wake-up and dispatch
     # ------------------------------------------------------------------
-    def notify(self) -> None:
-        """The IBU queued a packet; make sure a kick is pending."""
-        if self._kick_scheduled:
-            return
-        self._kick_scheduled = True
-        engine = self._engine
-        engine.schedule_at(max(engine.now, self.busy_until), self._kick)
+    def kick(self) -> None:
+        """Dispatch the next queued packet if the EXU is free.
 
-    def _kick(self) -> None:
-        self._kick_scheduled = False
+        Pops the IBU's FIFOs (high priority first; a packet restored from
+        the on-memory overflow buffer costs one memory exchange), charges
+        the idle gap since the last burst, and runs the packet: a reply or
+        an invocation goes straight into :meth:`_run_burst`.
+        """
         engine = self._engine
-        if engine.now < self.busy_until:
-            self.notify()
+        now = engine.now
+        if now < self.busy_until:
+            engine.schedule_at(self.busy_until, self.kick)  # stays pending
             return
-        item = self._proc.ibu.pop()
-        if item is None:
+        self.kick_pending = False
+        q = self._q_high or self._q_normal
+        if not q:
             return  # idle; the gap is charged when the next burst starts
-        pkt, extra = item
-        self._account_gap(engine.now)
-        self._dispatch(pkt, extra)
-        if self._proc.ibu.queued:
-            self.notify()
+        pkt, overflowed = q.popleft()
+        extra = self._mem_exchange if overflowed else 0
 
-    def _account_gap(self, now: int) -> None:
-        if self._last_end is None or now <= self._last_end:
-            return
-        gap = now - self._last_end
-        counters = self._proc.counters
-        if self._proc.live_threads > 0:
-            counters.add_cycles(Bucket.COMMUNICATION, gap)
-            counters.comm_gap_count += 1
-            if gap > counters.comm_gap_max:
-                counters.comm_gap_max = gap
-            if self._trace_on:
-                self._proc.trace.append(TraceEvent(self._last_end, now, "idle"))
-            obs = self._obs
-            if obs is not None:
-                obs.emit(BurstSpan(self._last_end, self._proc.pe, now, "idle"))
+        last = self._last_end
+        if last is not None and now > last:
+            gap = now - last
+            proc = self._proc
+            counters = self._counters
+            if proc.live_threads > 0:
+                counters.cycles[Bucket.COMMUNICATION] += gap
+                counters.comm_gap_count += 1
+                if gap > counters.comm_gap_max:
+                    counters.comm_gap_max = gap
+                if self._trace_on:
+                    proc.trace.append(TraceEvent(last, now, "idle"))
+                obs = self._obs
+                if obs is not None:
+                    obs.emit(BurstSpan(last, proc.pe, now, "idle"))
+            else:
+                counters.cycles[Bucket.IDLE] += gap
+
+        kind = pkt.kind
+        if kind is PacketKind.READ_REPLY or kind is PacketKind.BLOCK_READ_REPLY:
+            thread, _tag = self._continuations.resolve(pkt.address)
+            self._run_burst(thread, pkt.data, self._match_invoke + extra)
+        elif kind is PacketKind.INVOKE:
+            func_name, args, cont = pkt.data
+            thread = self._machine.create_thread(self._proc.pe, func_name, args, cont)
+            self._run_burst(thread, None, self._match_invoke + extra)
+        elif kind is PacketKind.RESUME:
+            self._dispatch_resume(pkt, extra)
+        elif kind is PacketKind.READ_REQ or kind is PacketKind.BLOCK_READ_REQ:
+            self._em4_service(pkt, extra)
         else:
-            counters.add_cycles(Bucket.IDLE, gap)
+            raise SchedulerError(f"EXU cannot handle packet kind {kind}")
+
+        if (self._q_high or self._q_normal) and not self.kick_pending:
+            self.kick_pending = True
+            busy = self.busy_until
+            engine.schedule_at(busy if busy > engine.now else engine.now, self.kick)
 
     def _switch(self, kind: SwitchKind, thread: EMThread | None = None) -> None:
         """Count one context switch and mirror it onto the event bus."""
@@ -129,26 +156,6 @@ class ExecutionUnit:
                     thread.name if thread is not None else "",
                 )
             )
-
-    # ------------------------------------------------------------------
-    # Packet dispatch
-    # ------------------------------------------------------------------
-    def _dispatch(self, pkt: Packet, extra: int) -> None:
-        kind = pkt.kind
-        timing = self._timing
-        if kind is PacketKind.INVOKE:
-            func_name, args, cont = pkt.data
-            thread = self._proc.machine.create_thread(self._proc.pe, func_name, args, cont)
-            self._run_burst(thread, None, timing.match_invoke + extra)
-        elif kind in (PacketKind.READ_REPLY, PacketKind.BLOCK_READ_REPLY):
-            thread, _tag = self._proc.continuations.resolve(pkt.address)
-            self._run_burst(thread, pkt.data, timing.match_invoke + extra)
-        elif kind is PacketKind.RESUME:
-            self._dispatch_resume(pkt, extra)
-        elif kind in (PacketKind.READ_REQ, PacketKind.BLOCK_READ_REQ):
-            self._em4_service(pkt, extra)
-        else:
-            raise SchedulerError(f"EXU cannot handle packet kind {kind}")
 
     def _dispatch_resume(self, pkt: Packet, extra: int) -> None:
         timing = self._timing
@@ -186,42 +193,17 @@ class ExecutionUnit:
             raise SchedulerError(f"unknown resume reason {reason!r}")
 
     def _em4_service(self, pkt: Packet, extra: int) -> None:
-        """EM-4 compatibility: the EXU itself answers a remote read."""
+        """EM-4 compatibility: the EXU itself answers a remote read.
+
+        The reply keeps normal priority whatever ``priority_replies``
+        says: that option models the EM-X IBU's reply path only.
+        """
         proc = self._proc
-        timing = self._timing
         engine = self._engine
-        offset = pkt.address & 0xFFFFFFFF
-        if pkt.kind is PacketKind.READ_REQ:
-            cost = timing.em4_read_service + extra
-            cont = pkt.data
-            if isinstance(cont, tuple) and cont[0] == "pair":
-                _, cid, slot = cont
-                reply = Packet(
-                    kind=PacketKind.READ_REPLY_PAIR,
-                    src=proc.pe,
-                    dst=pkt.src,
-                    address=cid,
-                    data=(slot, proc.memory.read(offset)),
-                )
-            else:
-                reply = Packet(
-                    kind=PacketKind.READ_REPLY,
-                    src=proc.pe,
-                    dst=pkt.src,
-                    address=cont,
-                    data=proc.memory.read(offset),
-                )
-        else:
-            cont, count = pkt.data
-            cost = timing.em4_read_service + count + extra
-            reply = Packet(
-                kind=PacketKind.BLOCK_READ_REPLY,
-                src=proc.pe,
-                dst=pkt.src,
-                address=cont,
-                data=proc.memory.read_block(offset, count),
-                words=2 * count,
-            )
+        reply = build_reply(pkt, proc.pe, proc.memory, Priority.NORMAL)
+        cost = self._timing.em4_read_service + extra
+        if pkt.kind is PacketKind.BLOCK_READ_REQ:
+            cost += pkt.data[1]  # one cycle per word read
         proc.counters.reads_serviced += 1
         proc.counters.add_cycles(Bucket.OVERHEAD, cost)
         t0 = engine.now
@@ -242,6 +224,7 @@ class ExecutionUnit:
         timing = self._timing
         engine = self._engine
         counters = proc.counters
+        switches = counters.switches
         pe = proc.pe
         obs = self._obs
         # The two per-effect timing constants, hoisted out of the loop.
@@ -298,7 +281,10 @@ class ExecutionUnit:
                     )
                 )
                 counters.reads_issued += 1
-                self._switch(SwitchKind.REMOTE_READ, thread)
+                if obs is None:
+                    switches[SwitchKind.REMOTE_READ] += 1
+                else:
+                    self._switch(SwitchKind.REMOTE_READ, thread)
                 thread.transition(ThreadState.WAIT_READ)
                 break
 
@@ -320,7 +306,10 @@ class ExecutionUnit:
                         )
                     )
                 counters.reads_issued += 2
-                self._switch(SwitchKind.REMOTE_READ, thread)
+                if obs is None:
+                    switches[SwitchKind.REMOTE_READ] += 1
+                else:
+                    self._switch(SwitchKind.REMOTE_READ, thread)
                 thread.transition(ThreadState.WAIT_READ)
                 break
 
@@ -344,7 +333,10 @@ class ExecutionUnit:
                     )
                 )
                 counters.reads_issued += 1
-                self._switch(SwitchKind.REMOTE_READ, thread)
+                if obs is None:
+                    switches[SwitchKind.REMOTE_READ] += 1
+                else:
+                    self._switch(SwitchKind.REMOTE_READ, thread)
                 thread.transition(ThreadState.WAIT_READ)
                 break
 
@@ -367,7 +359,10 @@ class ExecutionUnit:
                         )
                     )
                 counters.reads_issued += 2
-                self._switch(SwitchKind.REMOTE_READ, thread)
+                if obs is None:
+                    switches[SwitchKind.REMOTE_READ] += 1
+                else:
+                    self._switch(SwitchKind.REMOTE_READ, thread)
                 thread.transition(ThreadState.WAIT_READ)
                 break
 
@@ -389,7 +384,10 @@ class ExecutionUnit:
                 )
                 counters.block_reads_issued += 1
                 counters.block_words_requested += eff.count
-                self._switch(SwitchKind.REMOTE_READ, thread)
+                if obs is None:
+                    switches[SwitchKind.REMOTE_READ] += 1
+                else:
+                    self._switch(SwitchKind.REMOTE_READ, thread)
                 thread.transition(ThreadState.WAIT_READ)
                 break
 
@@ -480,7 +478,10 @@ class ExecutionUnit:
                     )
                 )
                 counters.spawns_issued += 1
-                self._switch(SwitchKind.EXPLICIT, thread)
+                if obs is None:
+                    switches[SwitchKind.EXPLICIT] += 1
+                else:
+                    self._switch(SwitchKind.EXPLICIT, thread)
                 thread.transition(ThreadState.WAIT_CALL)
                 break
 
@@ -489,7 +490,10 @@ class ExecutionUnit:
                     comp += timing.int_op  # the successful inline check
                     continue
                 sw += reg_save
-                self._switch(SwitchKind.THREAD_SYNC, thread)
+                if obs is None:
+                    switches[SwitchKind.THREAD_SYNC] += 1
+                else:
+                    self._switch(SwitchKind.THREAD_SYNC, thread)
                 eff.token.park(eff.seq, thread)
                 thread.transition(ThreadState.WAIT_TOKEN)
                 break
@@ -513,7 +517,10 @@ class ExecutionUnit:
             elif et is BarrierWait:
                 bar = eff.barrier
                 sw += timing.barrier_check
-                self._switch(SwitchKind.ITER_SYNC, thread)
+                if obs is None:
+                    switches[SwitchKind.ITER_SYNC] += 1
+                else:
+                    self._switch(SwitchKind.ITER_SYNC, thread)
                 gen_no, last_local = bar.arrive(pe)
                 if obs is not None:
                     obs.emit(BarrierEvent(engine.now, pe, bar.barrier_id, gen_no, "arrive"))
@@ -543,7 +550,10 @@ class ExecutionUnit:
 
             elif et is SwitchNow:
                 sw += reg_save
-                self._switch(SwitchKind.EXPLICIT, thread)
+                if obs is None:
+                    switches[SwitchKind.EXPLICIT] += 1
+                else:
+                    self._switch(SwitchKind.EXPLICIT, thread)
                 thread.transition(ThreadState.READY)
                 local_resumes.append(
                     Packet(kind=PacketKind.RESUME, src=pe, dst=pe, data=("explicit", thread))
@@ -558,26 +568,34 @@ class ExecutionUnit:
         if finished:
             self._finish_thread(thread)
 
-        total = comp + over + sw
-        self.busy_until = t0 + total
-        self._last_end = self.busy_until
-        counters.add_cycles(Bucket.COMPUTATION, comp)
-        counters.add_cycles(Bucket.OVERHEAD, over)
-        counters.add_cycles(Bucket.SWITCHING, sw)
-        counters.note_active(t0, self.busy_until)
+        if comp < 0 or over < 0 or sw < 0:
+            raise SimulationError(
+                f"negative cycle charge in a burst of {thread.name}: "
+                f"computation={comp} overhead={over} switching={sw}"
+            )
+        busy = self.busy_until = self._last_end = t0 + comp + over + sw
+        cycles = counters.cycles
+        cycles[Bucket.COMPUTATION] += comp
+        cycles[Bucket.OVERHEAD] += over
+        cycles[Bucket.SWITCHING] += sw
+        if counters.first_active is None:
+            counters.first_active = t0
+        if busy > counters.last_active:
+            counters.last_active = busy
         if self._trace_on:
-            proc.trace.append(TraceEvent(t0, self.busy_until, "burst", thread.name))
+            proc.trace.append(TraceEvent(t0, busy, "burst", thread.name))
         if obs is not None:
-            obs.emit(BurstSpan(t0, pe, self.busy_until, "burst", thread.name))
+            obs.emit(BurstSpan(t0, pe, busy, "burst", thread.name))
         if emits:
             inject_at = proc.obu.inject_at
             for off, pkt in emits:
                 inject_at(t0 + off, pkt)
-        if mid_resumes:
+        if mid_resumes or local_resumes:
+            enqueue = self._ibu.enqueue
             for off, pkt in mid_resumes:
-                proc.schedule_enqueue(t0 + off, pkt)
-        for pkt in local_resumes:
-            proc.schedule_enqueue(self.busy_until, pkt)
+                engine.schedule_at(t0 + off, enqueue, pkt)
+            for pkt in local_resumes:
+                engine.schedule_at(busy, enqueue, pkt)
 
     def _finish_thread(self, thread: EMThread) -> None:
         proc = self._proc

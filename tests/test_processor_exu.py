@@ -3,7 +3,7 @@
 import pytest
 
 from repro import EMX, Bucket, MachineConfig, SwitchKind
-from repro.errors import ThreadProtocolError
+from repro.errors import SimulationError, ThreadProtocolError
 
 
 def mk():
@@ -192,6 +192,20 @@ def test_non_effect_yield_raises():
 
     m.spawn(0, "bad")
     with pytest.raises(ThreadProtocolError):
+        m.run()
+
+
+def test_burst_refuses_negative_cycle_charge():
+    m = mk()
+
+    @m.thread
+    def worker(ctx):
+        eff = ctx.compute(1)
+        eff.cycles = -5  # slips past Compute's own check
+        yield eff
+
+    m.spawn(0, "worker")
+    with pytest.raises(SimulationError, match="negative cycle charge"):
         m.run()
 
 

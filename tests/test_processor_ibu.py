@@ -3,6 +3,7 @@
 import pytest
 
 from repro import EMX, MachineConfig
+from repro.metrics.counters import Bucket
 from repro.packet import GlobalAddress, Packet, PacketKind, Priority
 
 
@@ -81,20 +82,30 @@ def test_priority_replies_use_high_fifo():
     normal = Packet(kind=PacketKind.RESUME, src=0, dst=0, data=("explicit", None))
     proc.ibu.enqueue(normal)
     proc.ibu.enqueue(reply)
-    popped, _ = proc.ibu.pop()
-    assert popped.kind is PacketKind.READ_REPLY  # high priority first
+    assert [p for p, _ in proc.ibu.q_high] == [reply]  # the EXU's kick pops it first
+    assert [p for p, _ in proc.ibu.q_normal] == [normal]
+    assert proc.exu.kick_pending  # the first enqueue armed one kick
 
 
 def test_overflow_counts_and_extra_cost():
-    m = EMX(MachineConfig(n_pes=2, ibu_fifo_depth=2, memory_words=1 << 12))
-    proc = m.pes[0]
-    for i in range(5):
-        proc.ibu.enqueue(Packet(kind=PacketKind.RESUME, src=0, dst=0, data=("explicit", i)))
-    assert proc.counters.ibu_overflows == 3
+    def run(depth):
+        m = EMX(MachineConfig(n_pes=2, ibu_fifo_depth=depth, memory_words=1 << 12))
+
+        @m.thread
+        def worker(ctx):
+            yield ctx.compute(1)
+
+        for _ in range(5):  # all five INVOKEs queue before the first kick
+            m.spawn(0, "worker")
+        return m, m.run().counters[0]
+
+    m, spilled = run(2)
+    _, roomy = run(8)
+    assert spilled.ibu_overflows == 3
+    assert roomy.ibu_overflows == 0
     # First two on-chip packets dequeue free; the rest pay the restore.
-    assert proc.ibu.pop()[1] == 0
-    assert proc.ibu.pop()[1] == 0
-    assert proc.ibu.pop()[1] == m.config.timing.mem_exchange
+    restore = spilled.cycles[Bucket.SWITCHING] - roomy.cycles[Bucket.SWITCHING]
+    assert restore == 3 * m.config.timing.mem_exchange
 
 
 def test_block_read_round_trip():
