@@ -18,20 +18,11 @@ power of two (the prototype's 80) are padded with pure switch boxes.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import NamedTuple
 
-from ..errors import RoutingError, SimulationError
+from ..errors import RoutingError
 
-if TYPE_CHECKING:
-    from ..config import MachineConfig
-
-__all__ = [
-    "Hop",
-    "CircularOmegaTopology",
-    "partition",
-    "lookahead",
-    "lookahead_matrix",
-]
+__all__ = ["Hop", "CircularOmegaTopology"]
 
 
 class Hop(NamedTuple):
@@ -112,28 +103,6 @@ class CircularOmegaTopology:
         )
         return total / (self.n_pes * self.n_pes)
 
-    def min_hops_between(
-        self, sources: "range | Sequence[int]", targets: "range | Sequence[int]"
-    ) -> int:
-        """Smallest hop count from any PE in ``sources`` to any *other*
-        PE in ``targets`` (same-PE pairs are excluded — a self-send
-        never crosses the network)."""
-        best: int | None = None
-        for src in sources:
-            for dst in targets:
-                if src == dst:
-                    continue
-                hops = self.hop_count(src, dst)
-                if best is None or hops < best:
-                    best = hops
-                    if best == 1:
-                        return best  # ring minimum for distinct boxes
-        if best is None:
-            raise RoutingError(
-                f"no cross pair between PE groups {sources!r} and {targets!r}"
-            )
-        return best
-
     def graph(self):  # pragma: no cover - optional convenience
         """The switch digraph as a ``networkx.DiGraph`` (edges carry ``bit``)."""
         import networkx as nx
@@ -143,77 +112,3 @@ class CircularOmegaTopology:
             for bit in (0, 1):
                 g.add_edge(node, ((node << 1) | bit) & self._mask, bit=bit)
         return g
-
-
-# ----------------------------------------------------------------------
-# Delivery-latency lower bounds
-# ----------------------------------------------------------------------
-# Both network models deliver a k-hop packet no earlier than
-# ``inject + k + eject`` cycles: injection reaches the first switch in
-# the same cycle, each later hop costs one cut-through cycle, ejection
-# costs ``timing.eject``, and contention only ever delays.  The bounds
-# below are pure functions of that arithmetic and the topology; the
-# conflict-free probes in the test suite show they are tight.
-def partition(n_pes: int, count: int) -> tuple[tuple[int, int], ...]:
-    """Contiguous, near-equal ``(lo, hi)`` PE ranges, ``count`` of them.
-
-    When ``count`` does not divide ``n_pes`` the remainder spreads one
-    extra PE over the trailing groups (``(n_pes * i) // count`` bounds),
-    so sizes differ by at most one and the ranges always tile
-    ``[0, n_pes)`` exactly.
-    """
-    if count < 1:
-        raise SimulationError(f"group count must be at least 1, got {count}")
-    if count > n_pes:
-        raise SimulationError(
-            f"cannot split {n_pes} PEs into {count} groups: "
-            "each group needs at least one PE"
-        )
-    return tuple(
-        ((n_pes * i) // count, (n_pes * (i + 1)) // count) for i in range(count)
-    )
-
-
-def lookahead(config: "MachineConfig") -> int:
-    """Minimum src≠dst injection-to-delivery latency, in cycles.
-
-    Self-sends (src == dst, latency ``eject``) never cross the network
-    and are exempt; a one-PE machine, having no distinct pair, gets the
-    floor ``eject + 1``.
-    """
-    if config.n_pes < 2:
-        return config.timing.eject + 1
-    topo = CircularOmegaTopology(config.n_pes)
-    pes = range(config.n_pes)
-    return topo.min_hops_between(pes, pes) + config.timing.eject
-
-
-def lookahead_matrix(
-    config: "MachineConfig", bounds: tuple[tuple[int, int], ...]
-) -> tuple[tuple[int, ...], ...]:
-    """Per-group-pair delivery-latency lower bounds, in cycles.
-
-    ``bounds`` are contiguous PE ranges (see :func:`partition`).  Entry
-    ``[i][j]`` is the minimum over all ``src`` in group *i*, ``dst`` in
-    group *j*, ``src != dst`` of ``hop_count(src, dst) + eject``, so
-    every entry is a true lower bound on that pair's delivery latency
-    and is ``>=`` the scalar :func:`lookahead` (which is exactly the
-    off-diagonal minimum when there are two or more groups).  A
-    single-PE group has no distinct pair with itself and gets the floor
-    ``eject + 1`` on the diagonal.
-    """
-    eject = config.timing.eject
-    count = len(bounds)
-    if config.n_pes < 2:
-        return tuple((eject + 1,) * count for _ in range(count))
-    topo = CircularOmegaTopology(config.n_pes)
-    rows = []
-    for slo, shi in bounds:
-        row = []
-        for dlo, dhi in bounds:
-            if slo == dlo and shi - slo == 1:
-                row.append(eject + 1)
-            else:
-                row.append(topo.min_hops_between(range(slo, shi), range(dlo, dhi)) + eject)
-        rows.append(tuple(row))
-    return tuple(rows)

@@ -10,6 +10,7 @@ from repro.api import app_names, get_app, result_ok
 from repro.apps.bitonic import run_bitonic
 from repro.errors import ProgramError
 from repro.machine import MachineReport
+from repro.metrics.serialize import report_to_dict
 
 #: Every registered app must take these, keyword-only, in any order.
 CORE_PARAMS = ("n_pes", "n", "h", "config", "obs", "seed")
@@ -23,6 +24,13 @@ def test_run_from_bare_import():
     assert isinstance(report, MachineReport)
     assert report.runtime_cycles > 0
     assert report.events_fired > 0
+
+
+def test_sequential_runs_have_no_windows_section():
+    # The sharded engine's window accounting is gone for good.
+    report = repro.run("sort", n=128, n_pes=8, h=2)
+    assert not hasattr(report, "windows")
+    assert "windows" not in report_to_dict(report)
 
 
 def test_run_matches_direct_app_call():
