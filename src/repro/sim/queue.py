@@ -10,19 +10,27 @@ Two implementations share one contract:
 :class:`EventQueue`
     The production queue: a **two-tier calendar queue**.  A ring of
     near-future cycle buckets (one plain ``list`` per cycle in a sliding
-    window) absorbs the hot path: a push is a single ``list.append`` and
-    a pop an index bump.  Events outside the window (or scheduled behind
-    the drain cursor by a paused caller) spill to a binary-heap far tier
-    that the pop path consults by ``(time, seq)``.  When the ring holds
-    no live entry and the far tier does, the ring is **re-anchored**:
-    the cursor jumps to the far head's time and every far entry inside
-    the new window moves into its bucket (Brown's calendar queue jumps
-    an empty year to the earliest event the same way).  A jump past the
-    window — a long local compute burst — therefore costs one heap
-    round trip for the events already scheduled beyond it, and later
-    pushes land in the ring again.  On the paper-shape sweeps only such
-    burst-end sends reach the far tier, and no cycle takes the
-    engine's generic pop path.
+    window starting at the cursor ``base``) absorbs the hot path: a push
+    is a single ``list.append`` and a drained cycle a list walk.  Events
+    at or beyond ``base + window`` spill to a binary-heap far tier.
+    **Far-tier invariant:** every far entry lies at or beyond
+    ``base + window``.  Whoever advances the cursor keeps it by first
+    moving the far entries that the new window covers into their
+    buckets (:meth:`EventQueue._migrate`); when the ring holds no live
+    entry, the ring is **re-anchored** instead: the cursor jumps to the
+    far head's time and every far entry inside the new window moves
+    into its bucket (Brown's calendar queue jumps an empty year to the
+    earliest event the same way).  A jump past the window — a long
+    local compute burst — therefore costs one heap round trip for the
+    events already scheduled beyond it, and later pushes land in the
+    ring again.  Because the engine only accepts events at or after
+    ``now`` and keeps ``base <= now``, every event of the cycle it
+    fires sits in one bucket: the engine never splits a cycle across
+    the two tiers, and drains the ring inline (see
+    :meth:`repro.sim.engine.Engine.run`).  Only a direct :meth:`push`
+    below the cursor reaches the far tier out of order, so the
+    standalone :meth:`pop`/:meth:`peek_time` path still compares the
+    two heads.
 
 :class:`ReferenceEventQueue`
     The original heapq implementation, kept as the obviously-correct
@@ -37,20 +45,25 @@ by ``(time, seq)``; and when both tiers hold events, the pop path picks
 the smaller ``(time, seq)`` pair.  Every pop therefore returns the
 globally minimal live ``(time, seq)`` — exactly the order the reference
 heapq produces — independent of bucket-window size or spill pattern.
-Re-anchoring keeps this intact: it only runs on an empty ring, moves
-entries in heap-pop ``(time, seq)`` order (so each bucket stays in
-``seq`` order), and every later push carries a larger ``seq``.
+Moving far entries into the ring keeps this intact: they move in
+heap-pop ``(time, seq)`` order into buckets the cursor has just
+vacated (or into an empty ring), entries pushed while their time lay
+beyond the window can only be older than the ring entries of the same
+cycle, and every later push carries a larger ``seq``.
 
 **Cancellation** is a *tombstone slot*: the handle returned by
 :meth:`EventQueue.push` is the (opaque) mutable entry itself, and
 cancelling stores ``None`` in its callable slot.  Firing tombstones the
 entry the same way, so a cancel that races a same-cycle pop is a strict
-no-op and ``len(queue)`` — a simple live counter — can never drift.
+no-op.  The queue keeps no live counter: ``len`` and ``bool`` scan both
+tiers for untombstoned entries, which is cheap off the hot path and
+cannot drift.  Neither moves the cursor.
 """
 
 from __future__ import annotations
 
 import heapq
+from itertools import chain
 from typing import Any, Callable, NamedTuple
 
 from ..errors import SimulationError
@@ -74,16 +87,28 @@ class ScheduledEvent(NamedTuple):
     args: tuple[Any, ...]
 
 
+def strip_tombstones(bucket: list) -> bool:
+    """Drop ``bucket``'s leading tombstones; True if a live entry remains."""
+    k = 0
+    for entry in bucket:
+        if entry[_FN] is not None:
+            break
+        k += 1
+    del bucket[:k]
+    return bool(bucket)
+
+
 class EventQueue:
     """Two-tier calendar queue with stable same-time ordering.
 
     ``window`` (a power of two) is the width of the near-future bucket
     ring; pushes with ``base <= time < base + window`` go to a bucket,
     the rest to the far heap.  ``base`` is the drain cursor: every event
-    before it has already left the near tier.
+    before it has already left the near tier, and every far entry at or
+    after it lies at or beyond ``base + window``.
     """
 
-    __slots__ = ("_near", "_window", "_mask", "_base", "_far", "_seq", "_live", "_near_n")
+    __slots__ = ("_near", "_window", "_mask", "_base", "_far", "_seq")
 
     def __init__(self, window: int = 8192) -> None:
         if window < 1 or window & (window - 1):
@@ -94,14 +119,16 @@ class EventQueue:
         self._base = 0  # all near-tier events with time < base are gone
         self._far: list[list] = []  # heap of entries, ordered by (time, seq)
         self._seq = 0
-        self._live = 0  # live (pushed, not fired, not cancelled) events
-        self._near_n = 0  # physical entries in the ring, tombstones included
+
+    def _entries(self):
+        return chain(chain.from_iterable(self._near), self._far)
 
     def __len__(self) -> int:
-        return self._live
+        """Live (pushed, not fired, not cancelled) events; scans both tiers."""
+        return sum(entry[_FN] is not None for entry in self._entries())
 
     def __bool__(self) -> bool:
-        return self._live > 0
+        return any(entry[_FN] is not None for entry in self._entries())
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -117,10 +144,8 @@ class EventQueue:
         self._seq += 1
         if 0 <= time - self._base < self._window:
             self._near[time & self._mask].append(entry)
-            self._near_n += 1
         else:
             heapq.heappush(self._far, entry)
-        self._live += 1
         return entry
 
     def cancel(self, handle: Any) -> None:
@@ -128,18 +153,16 @@ class EventQueue:
 
         Cancellation tombstones the entry in place: the fired/cancelled
         state lives in one slot, so cancelling an already-fired (or
-        already-cancelled, or unknown) handle is a silent no-op and the
-        live count cannot drift even when a cancel races a same-cycle
-        pop.  The tombstoned entry is physically dropped when the drain
-        cursor reaches it.
+        already-cancelled, or unknown) handle is a silent no-op even when
+        a cancel races a same-cycle pop.  The tombstoned entry is
+        physically dropped when the drain cursor reaches it.
         """
         if type(handle) is list and len(handle) == 4 and handle[_FN] is not None:
             handle[_FN] = None
             handle[_ARGS] = ()  # free references early
-            self._live -= 1
 
     # ------------------------------------------------------------------
-    # Draining
+    # Cursor moves (shared with the engine's inline drain loop)
     # ------------------------------------------------------------------
     def _far_head(self) -> list | None:
         """The earliest live far-tier entry (drops tombstones), or None."""
@@ -148,117 +171,84 @@ class EventQueue:
             heapq.heappop(far)
         return far[0] if far else None
 
-    def _near_head(self) -> tuple[int, list] | None:
-        """(time, bucket) of the earliest live near event, or ``None``.
+    def _migrate(self, end: int) -> None:
+        """Move every live far entry before ``end`` into its bucket.
 
-        Scans forward from ``base`` without moving it, physically
-        dropping tombstoned prefixes so repeated scans shrink.  The
-        bucket's first entry is guaranteed live on return.  An empty
-        ring is first re-anchored on the far head (see
-        :meth:`_reanchor`), so ``None`` means the whole queue is empty.
+        Called as the cursor advances to ``end - window``, before any
+        push at the new cursor, so the far-tier invariant holds again.
+        The buckets that receive them belong to cycles the cursor has
+        just passed, so they are empty, and heap pops come out in
+        ``(time, seq)`` order: each bucket stays in ``seq`` order.
         """
-        while self._near_n or self._reanchor():
-            near, mask = self._near, self._mask
-            for t in range(self._base, self._base + self._window):
-                bucket = near[t & mask]
-                if not bucket:
-                    continue
-                while bucket and bucket[0][_FN] is None:
-                    del bucket[0]
-                    self._near_n -= 1
-                if bucket:
-                    return t, bucket
-                if self._near_n == 0:
-                    break  # only tombstones were left: re-anchor
-        return None
+        far, near, mask = self._far, self._near, self._mask
+        while far and far[0][_TIME] < end:
+            entry = heapq.heappop(far)
+            if entry[_FN] is not None:
+                near[entry[_TIME] & mask].append(entry)
 
     def _reanchor(self) -> bool:
         """Jump the (empty) ring to the far head; False if none is live.
 
         Sets ``base`` to the far head's time and moves every live far
-        entry inside the new window into its bucket.  Heap pops come
-        out in ``(time, seq)`` order and the ring is empty, so each
-        bucket is left in ``seq`` order, and every later push carries a
-        larger ``seq`` — the ring invariant holds.
+        entry inside the new window into its bucket.
         """
         head = self._far_head()
         if head is None:
             return False
-        far, near, mask = self._far, self._near, self._mask
-        base = self._base = head[_TIME]
-        end = base + self._window
-        moved = 0
-        while far and far[0][_TIME] < end:
-            entry = heapq.heappop(far)
-            if entry[_FN] is not None:
-                near[entry[_TIME] & mask].append(entry)
-                moved += 1
-        self._near_n = moved
+        self._base = head[_TIME]
+        self._migrate(head[_TIME] + self._window)
         return True
+
+    # ------------------------------------------------------------------
+    # Standalone draining (the engine fires from the ring directly)
+    # ------------------------------------------------------------------
+    def _near_head(self) -> tuple[int, list] | None:
+        """(time, bucket) of the earliest live near event, or ``None``.
+
+        Scans forward from ``base`` without moving it, physically
+        dropping tombstoned prefixes so repeated scans shrink.  The
+        bucket's first entry is guaranteed live on return.
+        """
+        near, mask = self._near, self._mask
+        for t in range(self._base, self._base + self._window):
+            bucket = near[t & mask]
+            if bucket and strip_tombstones(bucket):
+                return t, bucket
+        return None
 
     def pop(self) -> ScheduledEvent:
         """Remove and return the earliest live event (min ``(time, seq)``)."""
         nb = self._near_head()
-        if nb is None:
-            raise SimulationError("pop() on an empty event queue")
+        if nb is None and self._reanchor():
+            nb = self._near_head()
         fh = self._far_head()
-        if fh is None or (nb[0], nb[1][0][_SEQ]) < (fh[_TIME], fh[_SEQ]):
+        if nb is None and fh is None:
+            raise SimulationError("pop() on an empty event queue")
+        if fh is None or (nb is not None and (nb[0], nb[1][0][_SEQ]) < (fh[_TIME], fh[_SEQ])):
             t, bucket = nb
             entry = bucket[0]
             del bucket[0]
-            self._near_n -= 1
-            self._base = t  # later same-cycle pushes still land in this bucket
+            if t != self._base:
+                self._base = t  # later same-cycle pushes still land in this bucket
+                self._migrate(t + self._window)
         else:
+            # Only a push below the cursor can win against the ring.
             entry = heapq.heappop(self._far)
         entry[_FN], fn = None, entry[_FN]  # tombstone: late cancels are no-ops
-        self._live -= 1
         return ScheduledEvent(entry[_TIME], entry[_SEQ], fn, entry[_ARGS])
 
     def peek_time(self) -> int | None:
-        """Time of the earliest live event, or ``None`` if empty."""
-        nb = self._near_head()
-        if nb is None:
-            return None
-        fh = self._far_head()
-        if fh is not None and fh[_TIME] < nb[0]:
-            return fh[_TIME]
-        return nb[0]
+        """Time of the earliest live event, or ``None`` if empty.
 
-    # ------------------------------------------------------------------
-    # Batch interface (the engine's hot path; see Engine.run)
-    # ------------------------------------------------------------------
-    def next_cycle(self) -> tuple[int, list | None] | None:
-        """Earliest live cycle and its near bucket, for batch draining.
-
-        Returns ``(time, bucket)`` where *bucket* is the near-ring list
-        for ``time`` — or ``None`` when the far tier holds a live event
-        at or before ``time``, in which case the cycle's events must be
-        interleaved by ``seq`` with single :meth:`pop` calls (see
-        :meth:`far_intrudes` for the standalone predicate).
+        Does not re-anchor: a peek never moves the cursor.
         """
         nb = self._near_head()
-        if nb is None:
-            return None
         fh = self._far_head()
         if fh is None:
-            return nb
-        t = nb[0]
-        if fh[_TIME] <= t:
-            # The cycle lives (at least partly) in the far tier; the
-            # caller must take the pop path.
-            return min(fh[_TIME], t), None
-        return nb
-
-    def far_intrudes(self, time: int) -> bool:
-        """True if the far tier holds a live event at or before ``time``."""
-        fh = self._far_head()
-        return fh is not None and fh[_TIME] <= time
-
-    def finish_cycle(self, time: int, fired: int, consumed: int) -> None:
-        """Account a fully drained near bucket and advance the cursor."""
-        self._near_n -= consumed
-        self._live -= fired
-        self._base = time + 1
+            return None if nb is None else nb[0]
+        if nb is None or fh[_TIME] < nb[0]:
+            return fh[_TIME]
+        return nb[0]
 
 
 class ReferenceEventQueue:
