@@ -23,7 +23,7 @@ from ..errors import NetworkError
 from ..obs.bus import EventBus
 from ..obs.events import PacketDeliver, PacketHop
 from ..packet import Packet
-from ..sim import Engine
+from ..sim import Engine, EventQueue
 from .stats import NetworkStats
 from .topology import CircularOmegaTopology
 
@@ -167,6 +167,14 @@ class DetailedOmegaNetwork(OmegaNetworkBase):
         self._plans: dict[tuple[int, int], tuple] = {}
         self._eject = self.timing.eject
         self._cpp = self.timing.port_cycles_per_packet
+        #: Hop and delivery events go straight into the calendar ring
+        #: (the engine's fused ``schedule_at`` minus its call frame);
+        #: any other queue, or a target beyond the window, takes
+        #: ``engine.schedule_at``.
+        queue = self.engine.queue
+        self._queue = queue if type(queue) is EventQueue else None
+        self._hop_fn = self._hop
+        self._deliver_fn = self._deliver
 
     def _plan(self, pkt: Packet) -> tuple:
         """Build (once per endpoint pair) the route plan for ``pkt``."""
@@ -226,18 +234,24 @@ class DetailedOmegaNetwork(OmegaNetworkBase):
             rec[0] = depart + slots
             rec[1] += slots
             if idx == last:
-                arrival = depart + self._eject
-                self.stats.record(pkt, last - 1, arrival - pkt.born)
-                engine.schedule_at(arrival, self._deliver, pkt, sink)
-                return
+                when = depart + self._eject
+                self.stats.record(pkt, last - 1, when - pkt.born)
+                fn, args = self._deliver_fn, (pkt, sink)
+                break
             # Injection into the first switch is immediate; each shuffle
             # hop afterwards costs one cycle of cut-through latency.
             when = depart if idx == 0 else depart + 1
             idx += 1
-            if when <= now:
-                continue
-            engine.schedule_at(when, self._hop, pkt, plan, idx, slots)
-            return
+            if when > now:
+                fn, args = self._hop_fn, (pkt, plan, idx, slots)
+                break
+        # `when >= now`: the schedule_at check holds by construction.
+        queue = self._queue
+        if queue is not None and 0 <= when - queue._base < queue._window:
+            queue._near[when & queue._mask].append([when, queue._seq, fn, args])
+            queue._seq += 1
+        else:
+            engine.schedule_at(when, fn, *args)
 
     def _transit(self, pkt: Packet) -> tuple[int, int]:  # pragma: no cover
         raise NotImplementedError("detailed model advances packets per hop")
